@@ -360,7 +360,9 @@ func TestChaosFederationPeerKilledAndRevived(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, j := range jobs {
-			if j.Peer == "site1" {
+			// Peer is set when a job is claimed for forwarding, RemoteID
+			// once the victim accepted it.
+			if j.Peer == "site1" && j.RemoteID != "" {
 				bound = true
 			}
 		}

@@ -564,7 +564,7 @@ func (c *Client) callOnce(ctx context.Context, method string, params ...any) (an
 		return nil, fmt.Errorf("clarens: %s: %w", method, err)
 	}
 	defer httpResp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(httpResp.Body, 64<<20))
+	body, err := io.ReadAll(io.LimitReader(httpResp.Body, rpc.MaxBodyBytes))
 	if err != nil {
 		return nil, fmt.Errorf("clarens: read response: %w", err)
 	}

@@ -572,7 +572,8 @@ func (s *Server) handleRPC(w http.ResponseWriter, r *http.Request) {
 	}
 	s.conns.request(r)
 	codec := s.codecFor(r)
-	req, err := codec.DecodeRequest(r.Body)
+	// An oversize body fails the read, and so the decode: a parse fault.
+	req, err := codec.DecodeRequest(http.MaxBytesReader(w, r.Body, rpc.MaxBodyBytes))
 	if err != nil {
 		fault, ok := err.(*rpc.Fault)
 		if !ok {

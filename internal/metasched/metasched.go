@@ -608,7 +608,7 @@ func (s *Scheduler) watchRemote() {
 		// after this point raises an event, and the initial poll below
 		// covers everything that happened before it. No gap.
 		w := s.ensureWatch(k)
-		due := s.pollDue(w, jobs)
+		due, flagged := s.pollDue(w, jobs)
 		if len(due) == 0 {
 			continue
 		}
@@ -617,12 +617,14 @@ func (s *Scheduler) watchRemote() {
 		// usual DeadPolls tolerance instead of waiting out the cooldown.
 		done, err := s.breakers.Allow(k.url)
 		if err != nil {
+			w.restore(flagged)
 			s.failGroup(due, err)
 			continue
 		}
 		c, err := s.conn(k.url)
 		if err != nil {
 			done(false)
+			w.restore(flagged)
 			s.failGroup(due, err)
 			continue
 		}
@@ -637,6 +639,7 @@ func (s *Scheduler) watchRemote() {
 		if err != nil || len(results) != len(due) {
 			done(err == nil || isFault(err))
 			s.dropConn(k.url)
+			w.restore(flagged)
 			s.failGroup(due, err)
 			continue
 		}
@@ -647,11 +650,6 @@ func (s *Scheduler) watchRemote() {
 			s.mu.Lock()
 			s.lastPoll[j.ID] = now
 			s.mu.Unlock()
-			if w != nil {
-				w.mu.Lock()
-				delete(w.ready, j.RemoteID)
-				w.mu.Unlock()
-			}
 			if r.Err != nil {
 				if isAuthFault(r.Err) {
 					// The delegated session expired while the job was
@@ -794,33 +792,47 @@ func (s *Scheduler) runWatch(w *peerWatch) {
 // should cover. Without push coverage (w == nil) that is all of them;
 // with it, the jobs whose terminal event arrived, jobs never polled
 // since forwarding (covers transitions that predate the subscription),
-// and jobs past the safety-net interval.
-func (s *Scheduler) pollDue(w *peerWatch, jobs []*jobsvc.Job) []*jobsvc.Job {
+// and jobs past the safety-net interval. It consumes the terminal-event
+// flags of the jobs it selects before their status RPC goes out, so an
+// event arriving while that RPC is in flight flags the job again for the
+// next cycle; flagged lists the consumed flags, which a failed sweep
+// hands back to restore.
+func (s *Scheduler) pollDue(w *peerWatch, jobs []*jobsvc.Job) (due []*jobsvc.Job, flagged []string) {
 	if w == nil {
-		return jobs
-	}
-	w.mu.Lock()
-	pollAll := w.pollAll
-	w.pollAll = false
-	ready := make(map[string]bool, len(w.ready))
-	for id := range w.ready {
-		ready[id] = true
-	}
-	w.mu.Unlock()
-	if pollAll {
-		return jobs
+		return jobs, nil
 	}
 	now := time.Now()
-	var due []*jobsvc.Job
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	pollAll := w.pollAll
+	w.pollAll = false
 	for _, j := range jobs {
 		last, polled := s.lastPoll[j.ID]
-		if ready[j.RemoteID] || !polled || now.Sub(last) >= s.cfg.WatchSafetyInterval {
+		ready := w.ready[j.RemoteID]
+		if pollAll || ready || !polled || now.Sub(last) >= s.cfg.WatchSafetyInterval {
 			due = append(due, j)
+			if ready {
+				delete(w.ready, j.RemoteID)
+				flagged = append(flagged, j.RemoteID)
+			}
 		}
 	}
-	s.mu.Unlock()
-	return due
+	return due, flagged
+}
+
+// restore re-flags remote jobs whose terminal event a failed status sweep
+// consumed, so the next cycle polls them again.
+func (w *peerWatch) restore(flagged []string) {
+	if w == nil {
+		return
+	}
+	w.mu.Lock()
+	for _, id := range flagged {
+		w.ready[id] = true
+	}
+	w.mu.Unlock()
 }
 
 // pruneWatches closes push subscriptions for groups that no longer have

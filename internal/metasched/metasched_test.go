@@ -18,6 +18,7 @@ import (
 	"clarens/internal/discovery"
 	"clarens/internal/jobsvc"
 	"clarens/internal/pki"
+	"clarens/internal/pubsub"
 	"clarens/internal/resilience"
 	"clarens/internal/rpc"
 )
@@ -810,4 +811,111 @@ func TestPullBackSkipsOversizedArtifact(t *testing.T) {
 		t.Errorf("finalized = truncated %v artifacts %+v stdout %q", got.Truncated, got.Artifacts, got.Stdout)
 	}
 	h.gate <- struct{}{}
+}
+
+// fakeStream is a push subscription the test feeds by hand.
+type fakeStream struct {
+	ch   chan pubsub.Event
+	once sync.Once
+}
+
+func (f *fakeStream) Events() <-chan pubsub.Event { return f.ch }
+
+func (f *fakeStream) Close() error {
+	f.once.Do(func() { close(f.ch) })
+	return nil
+}
+
+// TestTerminalEventDuringStatusRPCKept covers a lost wake-up: a terminal
+// job.state push that arrives while the status sweep's RPC for that job
+// is in flight must survive the sweep, so the next cycle polls the job
+// and pulls it back instead of waiting out WatchSafetyInterval.
+func TestTerminalEventDuringStatusRPCKept(t *testing.T) {
+	stream := &fakeStream{ch: make(chan pubsub.Event, 1)}
+	dialEvents := func(url, token, query string) (EventStream, error) { return stream, nil }
+	h := newHarness(t, Config{Pressure: -1, WatchSafetyInterval: time.Hour, EventDial: dialEvents}, nil)
+	conn := h.addPeer("peer1", "http://peer1/rpc", 4)
+
+	var mu sync.Mutex
+	state, block := "running", false
+	entered, release := make(chan struct{}), make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+	conn.mu.Lock()
+	scripted := conn.handle
+	conn.handle = func(token, method string, params []any) (any, error) {
+		if method != "job.status" {
+			return scripted(token, method, params)
+		}
+		mu.Lock()
+		st, b := state, block
+		mu.Unlock()
+		if b {
+			entered <- struct{}{}
+			<-release
+		}
+		return map[string]any{"state": st, "attempts": 1}, nil
+	}
+	conn.mu.Unlock()
+
+	ids := h.submit(t, 2) // the worker takes one, the other is forwarded
+	waitRunning(t, h.jobs, 1)
+	h.sched.Kick()
+	h.gate <- struct{}{} // the local job may finish
+	remote := h.jobs.RemoteJobs()
+	if len(remote) != 1 {
+		t.Fatalf("remote jobs = %d, want 1", len(remote))
+	}
+	rid := remote[0].RemoteID
+
+	// The first sweep of the job blocks in its status RPC, which reports
+	// the job still running; the terminal event lands meanwhile.
+	mu.Lock()
+	block = true
+	mu.Unlock()
+	swept := make(chan struct{})
+	go func() {
+		h.sched.Kick()
+		close(swept)
+	}()
+	<-entered
+	stream.ch <- pubsub.Event{Type: "job.state", Tags: map[string]string{"job_id": rid, "state": "done"}}
+	deadline := time.Now().Add(5 * time.Second)
+	for !h.flagged(rid) {
+		if time.Now().After(deadline) {
+			t.Fatal("terminal event never flagged the job")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	state, block = "done", false
+	mu.Unlock()
+	unblock()
+	<-swept
+
+	polls := conn.callCount("job.status")
+	h.sched.Kick()
+	if got := conn.callCount("job.status"); got != polls+1 {
+		t.Fatalf("status polls after the event = %d, want 1", got-polls)
+	}
+	if j, _ := h.jobs.Get(remote[0].ID); j.State != jobsvc.StateDone {
+		t.Errorf("job %s = %s, want pulled back done", remote[0].ID, j.State)
+	}
+	waitState(t, h.jobs, ids[0], jobsvc.StateDone)
+}
+
+// flagged reports whether a watch holds an unconsumed terminal event for
+// the remote job rid.
+func (h *harness) flagged(rid string) bool {
+	h.sched.mu.Lock()
+	defer h.sched.mu.Unlock()
+	for _, w := range h.sched.watches {
+		w.mu.Lock()
+		ready := w.ready[rid]
+		w.mu.Unlock()
+		if ready {
+			return true
+		}
+	}
+	return false
 }

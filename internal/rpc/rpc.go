@@ -66,6 +66,18 @@ const (
 	CodeApplication = -32500
 )
 
+// Wire intake bounds shared by the server, the client and the decoders.
+const (
+	// MaxBodyBytes caps a request body the server reads and a response
+	// body the client reads.
+	MaxBodyBytes = 64 << 20
+	// MaxDepth is the most arrays and structs a decoder lets a value
+	// nest one inside another (the XML-RPC decoder enforces it so far).
+	// It bounds the decoder's recursion, so no payload can exhaust the
+	// stack.
+	MaxDepth = 256
+)
+
 // Retryable reports whether a fault code indicates a request that never
 // executed and is therefore safe to retry on any method.
 func Retryable(code int) bool { return code == CodeOverloaded }

@@ -7,6 +7,15 @@
 // extension for 64-bit integers), <boolean>, <double>, <string>,
 // <dateTime.iso8601>, <base64>, <array>, <struct>, <nil/> (extension).
 // A <value> with bare character data is a string, per the spec.
+//
+// Decoding reads the body once into a pooled buffer and walks it with a
+// byte scanner for this small grammar (scan.go), building values
+// directly. The scanner keeps the well-formedness rules of encoding/xml's
+// strict token decoder, which decoded XML-RPC before it; that decoder
+// lives on in the package's tests as the oracle the fuzz targets compare
+// the scanner against. Arrays and structs may nest at most rpc.MaxDepth
+// deep; a deeper value is a parse error, so no payload can exhaust the
+// stack.
 package xmlrpc
 
 import (
@@ -17,7 +26,7 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
+	"sync"
 	"time"
 	"unicode/utf8"
 
@@ -249,352 +258,424 @@ func (*Codec) EncodeResponse(w io.Writer, resp *rpc.Response) error {
 
 // --- decoding ---
 
+// decoder reads one XML-RPC document: it walks the scanner's tokens with
+// the grammar, and the leniencies, of the encoding/xml walker it
+// replaced. Whitespace, comments, processing instructions and directives
+// between elements are skipped; other text there is an error where an
+// element is required and ignored between array values, struct members
+// and params. Decoders are pooled with their buffers; every value they
+// return is copied out of those buffers.
 type decoder struct {
-	d *xml.Decoder
+	scanner
+	acc   []byte   // character data of the element being read
+	vals  []any    // values of the arrays, structs and params being read
+	keys  []string // member names of the structs being read
+	depth int      // arrays and structs open around the current value
 }
 
-// next returns the next token skipping whitespace-only character data,
-// comments, and processing instructions.
-func (dec *decoder) next() (xml.Token, error) {
+var decoderPool = sync.Pool{New: func() any { return new(decoder) }}
+
+// decoderRetainLimit is the largest buffer a pooled decoder keeps; one
+// oversized body must not pin its buffer forever.
+const decoderRetainLimit = 1 << 20
+
+var errTooDeep = fmt.Errorf("xmlrpc: values nested deeper than %d", rpc.MaxDepth)
+
+// newDecoder reads all of r into a pooled decoder. The caller must
+// release it, also on error.
+func newDecoder(r io.Reader) (*decoder, error) {
+	d := decoderPool.Get().(*decoder)
+	b := d.buf[:0]
 	for {
-		tok, err := dec.d.Token()
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break
+		}
 		if err != nil {
-			return nil, err
+			d.buf = b
+			return d, fmt.Errorf("xmlrpc: read body: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.CharData:
-			if len(bytes.TrimSpace(t)) == 0 {
-				continue
-			}
-			return tok, nil
-		case xml.Comment, xml.ProcInst, xml.Directive:
+	}
+	d.buf = b
+	return d, nil
+}
+
+func (d *decoder) release() {
+	d.buf = retain(d.buf, decoderRetainLimit)
+	d.scratch = retain(d.scratch, decoderRetainLimit)
+	d.acc = retain(d.acc, decoderRetainLimit)
+	// An interface or a string header takes 16 bytes.
+	d.vals = retain(d.vals, decoderRetainLimit/16)
+	d.keys = retain(d.keys, decoderRetainLimit/16)
+	d.open, d.data = d.open[:0], nil
+	d.pos, d.pendingEnd, d.depth = 0, false, 0
+	decoderPool.Put(d)
+}
+
+// retain empties s for reuse, or drops it once a large document has grown
+// it past limit elements.
+func retain[E any](s []E, limit int) []E {
+	if cap(s) > limit {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+// describe names the current token for an error message.
+func (d *decoder) describe(k tokKind) string {
+	switch k {
+	case tokStart:
+		return "<" + string(d.localName()) + ">"
+	case tokEnd:
+		return "</" + string(d.localName()) + ">"
+	}
+	return "text"
+}
+
+// next returns the next token that is neither whitespace nor a comment,
+// processing instruction or directive.
+func (d *decoder) next() (tokKind, error) {
+	for {
+		k, err := d.token()
+		if err != nil {
+			return 0, err
+		}
+		if k == tokOther || k == tokText && len(bytes.TrimSpace(d.data)) == 0 {
 			continue
-		default:
-			return tok, nil
 		}
+		return k, nil
 	}
 }
 
-func (dec *decoder) expectStart(name string) (xml.StartElement, error) {
-	tok, err := dec.next()
-	if err != nil {
-		return xml.StartElement{}, err
-	}
-	se, ok := tok.(xml.StartElement)
-	if !ok || se.Name.Local != name {
-		return xml.StartElement{}, fmt.Errorf("xmlrpc: expected <%s>, got %v", name, tok)
-	}
-	return se, nil
-}
-
-func (dec *decoder) expectEnd(name string) error {
-	tok, err := dec.next()
+func (d *decoder) expectStart(name string) error {
+	k, err := d.next()
 	if err != nil {
 		return err
 	}
-	ee, ok := tok.(xml.EndElement)
-	if !ok || ee.Name.Local != name {
-		return fmt.Errorf("xmlrpc: expected </%s>, got %v", name, tok)
+	if k != tokStart || !d.is(name) {
+		return fmt.Errorf("xmlrpc: expected <%s>, got %s", name, d.describe(k))
 	}
 	return nil
 }
 
-// text reads character data until the matching end element of se.
-func (dec *decoder) text(se xml.StartElement) (string, error) {
-	var sb strings.Builder
+func (d *decoder) expectEnd(name string) error {
+	k, err := d.next()
+	if err != nil {
+		return err
+	}
+	if k != tokEnd || !d.is(name) {
+		return fmt.Errorf("xmlrpc: expected </%s>, got %s", name, d.describe(k))
+	}
+	return nil
+}
+
+// readText reads the character data of the element just started, up to
+// its end tag, into d.acc.
+func (d *decoder) readText() error {
+	d.acc = d.acc[:0]
 	for {
-		tok, err := dec.d.Token()
+		k, err := d.token()
 		if err != nil {
-			return "", err
+			return err
 		}
-		switch t := tok.(type) {
-		case xml.CharData:
-			sb.Write(t)
-		case xml.EndElement:
-			if t.Name.Local != se.Name.Local {
-				return "", fmt.Errorf("xmlrpc: mismatched end element %s", t.Name.Local)
-			}
-			return sb.String(), nil
-		case xml.StartElement:
-			return "", fmt.Errorf("xmlrpc: unexpected child <%s> in <%s>", t.Name.Local, se.Name.Local)
+		switch k {
+		case tokText:
+			d.acc = append(d.acc, d.data...)
+		case tokStart:
+			return fmt.Errorf("xmlrpc: unexpected child <%s>", d.localName())
+		case tokEnd:
+			return nil
 		}
 	}
 }
 
-// decodeValue decodes the contents of an already-consumed <value> start tag
-// through its end tag.
-func (dec *decoder) decodeValue() (any, error) {
-	tok, err := dec.d.Token()
-	if err != nil {
-		return nil, err
-	}
-	// Collect leading character data; if the next structural token is the
-	// </value>, the bare text is the (string) value.
-	var textBuf strings.Builder
+// decodeValue decodes the contents of an already-consumed <value> start
+// tag through its end tag. A <value> holding only text is a string.
+func (d *decoder) decodeValue() (any, error) {
+	d.acc = d.acc[:0]
 	for {
-		switch t := tok.(type) {
-		case xml.CharData:
-			textBuf.Write(t)
-		case xml.Comment, xml.ProcInst:
-		case xml.EndElement:
-			if t.Name.Local != "value" {
-				return nil, fmt.Errorf("xmlrpc: unexpected </%s> in value", t.Name.Local)
-			}
-			return textBuf.String(), nil
-		case xml.StartElement:
-			v, err := dec.decodeTypedValue(t)
+		k, err := d.token()
+		if err != nil {
+			return nil, err
+		}
+		switch k {
+		case tokText:
+			d.acc = append(d.acc, d.data...)
+		case tokEnd:
+			return string(d.acc), nil
+		case tokStart:
+			v, err := d.decodeTypedValue()
 			if err != nil {
 				return nil, err
 			}
-			if err := dec.expectEnd("value"); err != nil {
+			if err := d.expectEnd("value"); err != nil {
 				return nil, err
 			}
 			return v, nil
 		}
-		tok, err = dec.d.Token()
-		if err != nil {
-			return nil, err
-		}
 	}
 }
 
-func (dec *decoder) decodeTypedValue(se xml.StartElement) (any, error) {
-	switch se.Name.Local {
+// decodeTypedValue decodes the type element just started inside a
+// <value>, through its end tag.
+func (d *decoder) decodeTypedValue() (any, error) {
+	typ := d.localName()
+	switch string(typ) {
 	case "nil":
-		if err := dec.expectEnd("nil"); err != nil {
-			// <nil/> produces an immediate EndElement; expectEnd handles it.
-			return nil, err
+		return nil, d.expectEnd("nil")
+	case "array", "struct":
+		if d.depth == rpc.MaxDepth {
+			return nil, errTooDeep
 		}
-		return nil, nil
+		d.depth++
+		defer func() { d.depth-- }()
+		if string(typ) == "array" {
+			return d.decodeArray()
+		}
+		return d.decodeStruct()
+	}
+	if err := d.readText(); err != nil {
+		return nil, err
+	}
+	s := bytes.TrimSpace(d.acc)
+	switch string(typ) {
 	case "string":
-		return dec.text(se)
+		return string(d.acc), nil
 	case "int", "i4":
-		s, err := dec.text(se)
+		n, err := strconv.ParseInt(string(s), 10, 32)
 		if err != nil {
-			return nil, err
-		}
-		n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("xmlrpc: bad int %q: %w", s, err)
+			return nil, fmt.Errorf("xmlrpc: bad int %q: %w", d.acc, err)
 		}
 		return int(n), nil
 	case "i8":
-		s, err := dec.text(se)
+		n, err := strconv.ParseInt(string(s), 10, 64)
 		if err != nil {
-			return nil, err
-		}
-		n, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("xmlrpc: bad i8 %q: %w", s, err)
+			return nil, fmt.Errorf("xmlrpc: bad i8 %q: %w", d.acc, err)
 		}
 		return int(n), nil
 	case "boolean":
-		s, err := dec.text(se)
-		if err != nil {
-			return nil, err
-		}
-		switch strings.TrimSpace(s) {
+		switch string(s) {
 		case "1", "true":
 			return true, nil
 		case "0", "false":
 			return false, nil
-		default:
-			return nil, fmt.Errorf("xmlrpc: bad boolean %q", s)
 		}
+		return nil, fmt.Errorf("xmlrpc: bad boolean %q", d.acc)
 	case "double":
-		s, err := dec.text(se)
+		f, err := strconv.ParseFloat(string(s), 64)
 		if err != nil {
-			return nil, err
-		}
-		f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
-			return nil, fmt.Errorf("xmlrpc: bad double %q: %w", s, err)
+			return nil, fmt.Errorf("xmlrpc: bad double %q: %w", d.acc, err)
 		}
 		return f, nil
 	case "base64":
-		s, err := dec.text(se)
-		if err != nil {
-			return nil, err
-		}
-		data, err := base64.StdEncoding.DecodeString(strings.TrimSpace(s))
+		data := make([]byte, base64.StdEncoding.DecodedLen(len(s)))
+		n, err := base64.StdEncoding.Decode(data, s)
 		if err != nil {
 			return nil, fmt.Errorf("xmlrpc: bad base64: %w", err)
 		}
-		return data, nil
+		return data[:n], nil
 	case "dateTime.iso8601":
-		s, err := dec.text(se)
-		if err != nil {
-			return nil, err
-		}
-		s = strings.TrimSpace(s)
 		for _, layout := range iso8601Variants {
-			if t, err := time.Parse(layout, s); err == nil {
+			if t, err := time.Parse(layout, string(s)); err == nil {
 				return t.UTC(), nil
 			}
 		}
 		return nil, fmt.Errorf("xmlrpc: bad dateTime %q", s)
-	case "array":
-		if _, err := dec.expectStart("data"); err != nil {
+	}
+	return nil, fmt.Errorf("xmlrpc: unknown value type <%s>", typ)
+}
+
+// take moves the values above mark off the value stack into a new slice.
+func (d *decoder) take(mark int) []any {
+	out := make([]any, len(d.vals)-mark)
+	copy(out, d.vals[mark:])
+	clear(d.vals[mark:])
+	d.vals = d.vals[:mark]
+	return out
+}
+
+func (d *decoder) decodeArray() (any, error) {
+	if err := d.expectStart("data"); err != nil {
+		return nil, err
+	}
+	mark := len(d.vals)
+	for {
+		k, err := d.next()
+		if err != nil {
 			return nil, err
 		}
-		arr := []any{}
-		for {
-			tok, err := dec.next()
+		switch k {
+		case tokStart:
+			if !d.is("value") {
+				return nil, fmt.Errorf("xmlrpc: unexpected %s in array data", d.describe(k))
+			}
+			v, err := d.decodeValue()
 			if err != nil {
 				return nil, err
 			}
-			switch t := tok.(type) {
-			case xml.StartElement:
-				if t.Name.Local != "value" {
-					return nil, fmt.Errorf("xmlrpc: unexpected <%s> in array data", t.Name.Local)
-				}
-				v, err := dec.decodeValue()
-				if err != nil {
-					return nil, err
-				}
-				arr = append(arr, v)
-			case xml.EndElement:
-				if t.Name.Local != "data" {
-					return nil, fmt.Errorf("xmlrpc: unexpected </%s> in array", t.Name.Local)
-				}
-				if err := dec.expectEnd("array"); err != nil {
-					return nil, err
-				}
-				return arr, nil
-			}
-		}
-	case "struct":
-		m := map[string]any{}
-		for {
-			tok, err := dec.next()
-			if err != nil {
+			d.vals = append(d.vals, v)
+		case tokEnd: // </data>
+			if err := d.expectEnd("array"); err != nil {
 				return nil, err
 			}
-			switch t := tok.(type) {
-			case xml.StartElement:
-				if t.Name.Local != "member" {
-					return nil, fmt.Errorf("xmlrpc: unexpected <%s> in struct", t.Name.Local)
-				}
-				nameSE, err := dec.expectStart("name")
-				if err != nil {
-					return nil, err
-				}
-				name, err := dec.text(nameSE)
-				if err != nil {
-					return nil, err
-				}
-				if _, err := dec.expectStart("value"); err != nil {
-					return nil, err
-				}
-				v, err := dec.decodeValue()
-				if err != nil {
-					return nil, err
-				}
-				if err := dec.expectEnd("member"); err != nil {
-					return nil, err
-				}
-				m[name] = v
-			case xml.EndElement:
-				if t.Name.Local != "struct" {
-					return nil, fmt.Errorf("xmlrpc: unexpected </%s> in struct", t.Name.Local)
-				}
-				return m, nil
-			}
+			return d.take(mark), nil
 		}
-	default:
-		return nil, fmt.Errorf("xmlrpc: unknown value type <%s>", se.Name.Local)
 	}
 }
 
-// DecodeRequest implements rpc.Codec.
+func (d *decoder) decodeStruct() (any, error) {
+	mark, kmark := len(d.vals), len(d.keys)
+	for {
+		k, err := d.next()
+		if err != nil {
+			return nil, err
+		}
+		switch k {
+		case tokStart:
+			if !d.is("member") {
+				return nil, fmt.Errorf("xmlrpc: unexpected %s in struct", d.describe(k))
+			}
+			if err := d.expectStart("name"); err != nil {
+				return nil, err
+			}
+			if err := d.readText(); err != nil {
+				return nil, err
+			}
+			d.keys = append(d.keys, string(d.acc))
+			if err := d.expectStart("value"); err != nil {
+				return nil, err
+			}
+			v, err := d.decodeValue()
+			if err != nil {
+				return nil, err
+			}
+			if err := d.expectEnd("member"); err != nil {
+				return nil, err
+			}
+			d.vals = append(d.vals, v)
+		case tokEnd: // </struct>
+			m := make(map[string]any, len(d.vals)-mark)
+			for i, v := range d.vals[mark:] {
+				m[d.keys[kmark+i]] = v
+			}
+			clear(d.vals[mark:])
+			clear(d.keys[kmark:])
+			d.vals, d.keys = d.vals[:mark], d.keys[:kmark]
+			return m, nil
+		}
+	}
+}
+
+// DecodeRequest implements rpc.Codec. Every failure is an rpc.CodeParse
+// fault.
 func (*Codec) DecodeRequest(r io.Reader) (*rpc.Request, error) {
-	dec := &decoder{d: xml.NewDecoder(r)}
-	if _, err := dec.expectStart("methodCall"); err != nil {
-		return nil, &rpc.Fault{Code: rpc.CodeParse, Message: err.Error()}
+	d, err := newDecoder(r)
+	defer d.release()
+	if err == nil {
+		var req *rpc.Request
+		if req, err = d.request(); err == nil {
+			return req, nil
+		}
 	}
-	nameSE, err := dec.expectStart("methodName")
-	if err != nil {
-		return nil, &rpc.Fault{Code: rpc.CodeParse, Message: err.Error()}
+	return nil, &rpc.Fault{Code: rpc.CodeParse, Message: err.Error()}
+}
+
+func (d *decoder) request() (*rpc.Request, error) {
+	if err := d.expectStart("methodCall"); err != nil {
+		return nil, err
 	}
-	method, err := dec.text(nameSE)
-	if err != nil {
-		return nil, &rpc.Fault{Code: rpc.CodeParse, Message: err.Error()}
+	if err := d.expectStart("methodName"); err != nil {
+		return nil, err
 	}
-	req := &rpc.Request{Method: strings.TrimSpace(method)}
+	if err := d.readText(); err != nil {
+		return nil, err
+	}
+	req := &rpc.Request{Method: string(bytes.TrimSpace(d.acc))}
 	// <params> is optional per spec.
-	tok, err := dec.next()
+	k, err := d.next()
 	if err != nil {
-		return nil, &rpc.Fault{Code: rpc.CodeParse, Message: err.Error()}
+		return nil, err
 	}
-	se, ok := tok.(xml.StartElement)
-	if !ok {
+	if k != tokStart {
 		return req, nil // </methodCall>
 	}
-	if se.Name.Local != "params" {
-		return nil, &rpc.Fault{Code: rpc.CodeParse, Message: fmt.Sprintf("unexpected <%s>", se.Name.Local)}
+	if !d.is("params") {
+		return nil, fmt.Errorf("xmlrpc: unexpected %s", d.describe(k))
 	}
 	for {
-		tok, err := dec.next()
+		k, err := d.next()
 		if err != nil {
-			return nil, &rpc.Fault{Code: rpc.CodeParse, Message: err.Error()}
+			return nil, err
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			if t.Name.Local != "param" {
-				return nil, &rpc.Fault{Code: rpc.CodeParse, Message: fmt.Sprintf("unexpected <%s> in params", t.Name.Local)}
+		switch k {
+		case tokStart:
+			if !d.is("param") {
+				return nil, fmt.Errorf("xmlrpc: unexpected %s in params", d.describe(k))
 			}
-			if _, err := dec.expectStart("value"); err != nil {
-				return nil, &rpc.Fault{Code: rpc.CodeParse, Message: err.Error()}
+			if err := d.expectStart("value"); err != nil {
+				return nil, err
 			}
-			v, err := dec.decodeValue()
+			v, err := d.decodeValue()
 			if err != nil {
-				return nil, &rpc.Fault{Code: rpc.CodeParse, Message: err.Error()}
+				return nil, err
 			}
-			if err := dec.expectEnd("param"); err != nil {
-				return nil, &rpc.Fault{Code: rpc.CodeParse, Message: err.Error()}
+			if err := d.expectEnd("param"); err != nil {
+				return nil, err
 			}
-			req.Params = append(req.Params, v)
-		case xml.EndElement:
-			if t.Name.Local == "params" {
-				return req, nil
+			d.vals = append(d.vals, v)
+		case tokEnd: // </params>
+			if len(d.vals) > 0 {
+				req.Params = d.take(0)
 			}
-			return nil, &rpc.Fault{Code: rpc.CodeParse, Message: fmt.Sprintf("unexpected </%s>", t.Name.Local)}
+			return req, nil
 		}
 	}
 }
 
 // DecodeResponse implements rpc.Codec.
 func (*Codec) DecodeResponse(r io.Reader) (*rpc.Response, error) {
-	dec := &decoder{d: xml.NewDecoder(r)}
-	if _, err := dec.expectStart("methodResponse"); err != nil {
-		return nil, fmt.Errorf("xmlrpc: %w", err)
-	}
-	tok, err := dec.next()
+	d, err := newDecoder(r)
+	defer d.release()
 	if err != nil {
 		return nil, err
 	}
-	se, ok := tok.(xml.StartElement)
-	if !ok {
+	return d.response()
+}
+
+func (d *decoder) response() (*rpc.Response, error) {
+	if err := d.expectStart("methodResponse"); err != nil {
+		return nil, err
+	}
+	k, err := d.next()
+	if err != nil {
+		return nil, err
+	}
+	if k != tokStart {
 		return nil, fmt.Errorf("xmlrpc: empty methodResponse")
 	}
-	switch se.Name.Local {
-	case "params":
-		if _, err := dec.expectStart("param"); err != nil {
+	switch {
+	case d.is("params"):
+		if err := d.expectStart("param"); err != nil {
 			return nil, err
 		}
-		if _, err := dec.expectStart("value"); err != nil {
+		if err := d.expectStart("value"); err != nil {
 			return nil, err
 		}
-		v, err := dec.decodeValue()
+		v, err := d.decodeValue()
 		if err != nil {
 			return nil, err
 		}
 		return &rpc.Response{Result: v}, nil
-	case "fault":
-		if _, err := dec.expectStart("value"); err != nil {
+	case d.is("fault"):
+		if err := d.expectStart("value"); err != nil {
 			return nil, err
 		}
-		v, err := dec.decodeValue()
+		v, err := d.decodeValue()
 		if err != nil {
 			return nil, err
 		}
@@ -610,9 +691,8 @@ func (*Codec) DecodeResponse(r io.Reader) (*rpc.Response, error) {
 			f.Message = s
 		}
 		return &rpc.Response{Fault: f}, nil
-	default:
-		return nil, fmt.Errorf("xmlrpc: unexpected <%s> in methodResponse", se.Name.Local)
 	}
+	return nil, fmt.Errorf("xmlrpc: unexpected %s in methodResponse", d.describe(k))
 }
 
 var _ rpc.Codec = (*Codec)(nil)
