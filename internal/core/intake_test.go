@@ -8,32 +8,42 @@ import (
 	"testing"
 
 	"clarens/internal/rpc"
+	"clarens/internal/rpc/soaprpc"
 	"clarens/internal/rpc/xmlrpc"
 )
 
-// TestHostileBodiesFault posts to a live server the two bodies that used
-// to crash it or grow its memory without bound: values nested 10^6 deep
-// (about 43 MB) and a streamed body past rpc.MaxBodyBytes. Each gets a
-// parse fault, and the server keeps serving.
+// TestHostileBodiesFault posts to a live server the bodies that used to
+// crash it or grow its memory without bound: XML-RPC values and SOAP
+// elements nested 10^6 deep (about 43 and 13 MB) and a streamed body past
+// rpc.MaxBodyBytes. Each gets a parse fault, and the server keeps serving.
 func TestHostileBodiesFault(t *testing.T) {
 	s := newTestServer(t)
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	url := s.URL() + s.RPCPath()
-	post := func(body io.Reader) *rpc.Response {
+	postAs := func(c rpc.Codec, body io.Reader) *rpc.Response {
 		t.Helper()
-		resp, err := http.Post(url, "text/xml", body)
+		req, err := http.NewRequest(http.MethodPost, url, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "text/xml")
+		if c.Name() == "soap" {
+			req.Header.Set("SOAPAction", `"urn:clarens#system.ping"`)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		out, err := xmlrpc.New().DecodeResponse(resp.Body)
+		out, err := c.DecodeResponse(resp.Body)
 		if err != nil {
 			t.Fatalf("HTTP %d: %v", resp.StatusCode, err)
 		}
 		return out
 	}
+	post := func(body io.Reader) *rpc.Response { return postAs(xmlrpc.New(), body) }
 	wantParseFault := func(what string, resp *rpc.Response) {
 		t.Helper()
 		if resp.Fault == nil || resp.Fault.Code != rpc.CodeParse {
@@ -55,6 +65,13 @@ func TestHostileBodiesFault(t *testing.T) {
 		&repeatReader{s: "</value></data></array>", n: depth},
 		strings.NewReader("</value></param></params></methodCall>"))
 	wantParseFault("a deeply nested body", post(deep))
+
+	deepSOAP := io.MultiReader(
+		strings.NewReader(`<Envelope><Body><system.ping>`),
+		&repeatReader{s: "<item>", n: depth},
+		&repeatReader{s: "</item>", n: depth},
+		strings.NewReader(`</system.ping></Body></Envelope>`))
+	wantParseFault("a deeply nested SOAP body", postAs(soaprpc.New(), deepSOAP))
 
 	spaces := &repeatReader{s: strings.Repeat(" ", 1024), n: rpc.MaxBodyBytes/1024 + 1}
 	wantParseFault("an oversize body", post(io.MultiReader(strings.NewReader("<methodCall>"), spaces)))

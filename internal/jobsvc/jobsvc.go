@@ -13,6 +13,12 @@
 // startup were interrupted by a crash and are re-queued while retry budget
 // remains, or marked failed otherwise.
 //
+// Reads never touch the store. The service keeps the job table decoded in
+// memory and is the only writer of the store's jobs bucket, which serves as
+// the table's write-ahead log: each change is written there first and
+// enters the table only once the write succeeded, and startup replays the
+// bucket into the table.
+//
 // Execution is delegated to an Executor — in the assembled server, the
 // shell service's sandbox interpreter — and terminal transitions are
 // announced to the owner through the store-and-forward messaging service
@@ -341,6 +347,14 @@ type Service struct {
 	stopped       bool
 	remote        RemoteController
 
+	// tab is the decoded job table every read is served from; a record in
+	// it is never modified, only replaced. wake holds, for each job someone
+	// waits on, a channel closed at that job's next change. Writers hold mu
+	// as well, so tabMu is always taken after mu.
+	tabMu sync.RWMutex
+	tab   map[string]*Job
+	wake  map[string]chan struct{}
+
 	// lifecycle telemetry (nil without Config.Telemetry)
 	queueWaitHist *telemetry.Histogram
 	runHist       *telemetry.Histogram
@@ -371,6 +385,8 @@ func New(srv *core.Server, cfg Config, exec Executor, notify Notifier, metrics M
 		name:         serverName,
 		ownerRunning: make(map[string]int),
 		ownerQueued:  make(map[string]int),
+		tab:          make(map[string]*Job),
+		wake:         make(map[string]chan struct{}),
 		events:       cfg.Events,
 		started:      time.Now(),
 		stopCh:       make(chan struct{}),
@@ -544,9 +560,9 @@ func (s *Service) ageLoop() {
 	}
 }
 
-// recover rebuilds the in-memory queue from the persisted job table.
-// Queued jobs re-enter the queue; jobs interrupted mid-run are re-queued
-// while retry budget remains, or marked failed (their interrupted attempt
+// recover rebuilds the job table and the queue from the store. Queued
+// jobs re-enter the queue; jobs interrupted mid-run are re-queued while
+// retry budget remains, or marked failed (their interrupted attempt
 // already counted).
 func (s *Service) recover() error {
 	return s.srv.Store().ForEach(bucket, func(key string, value []byte) error {
@@ -554,6 +570,7 @@ func (s *Service) recover() error {
 		if err := json.Unmarshal(value, &j); err != nil {
 			return fmt.Errorf("jobsvc: corrupt job record %s: %w", key, err)
 		}
+		s.tab[j.ID] = j.clone() // the rewrites below replace it through put
 		switch j.State {
 		case StateQueued:
 			s.pushQueue(&j)
@@ -657,18 +674,50 @@ func newID(at time.Time) (string, error) {
 	return fmt.Sprintf("%020d-%s", at.UnixNano(), hex.EncodeToString(b[:])), nil
 }
 
-func (s *Service) put(j *Job) error {
-	return s.srv.Store().PutJSON(bucket, j.ID, j)
+// clone returns a copy of j that shares no mutable memory with it.
+func (j *Job) clone() *Job {
+	c := *j
+	c.Artifacts = append([]Artifact(nil), j.Artifacts...)
+	c.Collect = append([]string(nil), j.Collect...)
+	return &c
 }
 
-// Get loads a job by id.
+// put writes j to the store and, once that succeeded, records a private
+// copy of it in the table. Callers hold s.mu.
+func (s *Service) put(j *Job) error {
+	if err := s.srv.Store().PutJSON(bucket, j.ID, j); err != nil {
+		return err
+	}
+	s.setRecord(j.ID, j.clone())
+	return nil
+}
+
+// setRecord replaces the table entry for id (nil removes it) and wakes
+// the job's waiters. Callers hold s.mu.
+func (s *Service) setRecord(id string, j *Job) {
+	s.tabMu.Lock()
+	defer s.tabMu.Unlock()
+	if j == nil {
+		delete(s.tab, id)
+	} else {
+		s.tab[id] = j
+	}
+	if ch, ok := s.wake[id]; ok {
+		close(ch)
+		delete(s.wake, id)
+	}
+}
+
+// Get returns a copy of the job's current record from the table; the
+// caller may modify it freely.
 func (s *Service) Get(id string) (*Job, bool) {
-	var j Job
-	found, err := s.srv.Store().GetJSON(bucket, id, &j)
-	if err != nil || !found {
+	s.tabMu.RLock()
+	defer s.tabMu.RUnlock()
+	j, ok := s.tab[id]
+	if !ok {
 		return nil, false
 	}
-	return &j, true
+	return j.clone(), true
 }
 
 // Submit queues a command for owner and returns the new job. priority
@@ -906,44 +955,63 @@ func (s *Service) Cancel(id string) (bool, error) {
 	}
 }
 
-// List returns jobs in submission order. owner filters to one DN ("" =
-// all); state filters to one lifecycle state ("" = all).
+// List returns copies of the table's jobs in submission order (the
+// order of their IDs). owner filters to one DN ("" = all); state filters
+// to one lifecycle state ("" = all).
 func (s *Service) List(owner, state string) ([]*Job, error) {
 	var out []*Job
-	err := s.srv.Store().ForEach(bucket, func(key string, value []byte) error {
-		var j Job
-		if err := json.Unmarshal(value, &j); err != nil {
-			return nil // skip corrupt records on the read path
+	s.tabMu.RLock()
+	for _, j := range s.tab {
+		if (owner == "" || j.Owner == owner) && (state == "" || j.State == state) {
+			out = append(out, j.clone())
 		}
-		if owner != "" && j.Owner != owner {
-			return nil
-		}
-		if state != "" && j.State != state {
-			return nil
-		}
-		out = append(out, &j)
-		return nil
-	})
-	return out, err
+	}
+	s.tabMu.RUnlock()
+	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
+	return out, nil
 }
 
-// waitTerminal polls the job table until the job is terminal, ctx is
-// done, or timeout elapses, returning the last record seen. Callers
-// decide how to treat a still-non-terminal result.
+// watch returns a copy of the job's record and, unless the job is
+// terminal, a channel closed at its next change.
+func (s *Service) watch(id string) (*Job, <-chan struct{}, bool) {
+	s.tabMu.Lock()
+	defer s.tabMu.Unlock()
+	j, ok := s.tab[id]
+	if !ok {
+		return nil, nil, false
+	}
+	if Terminal(j.State) {
+		return j.clone(), nil, true
+	}
+	ch, ok := s.wake[id]
+	if !ok {
+		ch = make(chan struct{})
+		s.wake[id] = ch
+	}
+	return j.clone(), ch, true
+}
+
+// waitTerminal blocks until the job is terminal, ctx is done, or timeout
+// elapses, returning the last record from the table; each change to the
+// job wakes it. Callers decide how to treat a still-non-terminal result.
+// A job deleted while waited on is an error.
 func (s *Service) waitTerminal(ctx context.Context, id string, timeout time.Duration) (*Job, error) {
-	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	for {
-		j, ok := s.Get(id)
+		j, changed, ok := s.watch(id)
 		if !ok {
 			return nil, fmt.Errorf("jobsvc: no such job %q", id)
 		}
-		if Terminal(j.State) || time.Now().After(deadline) {
+		if changed == nil {
 			return j, nil
 		}
 		select {
+		case <-changed:
 		case <-ctx.Done():
 			return j, nil
-		case <-time.After(5 * time.Millisecond):
+		case <-timer.C:
+			return j, nil
 		}
 	}
 }
@@ -1281,6 +1349,9 @@ func (s *Service) Delete(id string) error {
 		return &rpc.Fault{Code: rpc.CodeApplication, Message: fmt.Sprintf("job: job %s is %s; cancel it before deleting", id, j.State)}
 	}
 	err := s.srv.Store().Delete(bucket, id)
+	if err == nil {
+		s.setRecord(id, nil)
+	}
 	s.mu.Unlock()
 	if err != nil {
 		return err

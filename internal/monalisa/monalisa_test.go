@@ -2,6 +2,7 @@ package monalisa
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -244,6 +245,50 @@ func TestStationCloseIdempotent(t *testing.T) {
 	st.Ingest(&Record{Farm: "f", Node: "n"})
 	if st.Len() != 0 {
 		t.Error("ingest after close stored a record")
+	}
+}
+
+// TestIngestRacesCancelAndClose: subscribers cancelled or closed while
+// Ingest delivers to them must not be sent to after their channel closed.
+func TestIngestRacesCancelAndClose(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		st, err := NewStation("s", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			st.Subscribe(nil) // left open for Close to close
+		}
+		stop := make(chan struct{})
+		var ingest, churn sync.WaitGroup
+		for i := 0; i < 2; i++ {
+			ingest.Add(1)
+			go func() {
+				defer ingest.Done()
+				for n := 0; ; n++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					st.Ingest(&Record{Farm: "f", Node: fmt.Sprint(n % 8)})
+				}
+			}()
+		}
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for n := 0; n < 200; n++ {
+				_, cancel := st.Subscribe(nil)
+				cancel()
+			}
+		}()
+		churn.Wait()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		ingest.Wait()
 	}
 }
 

@@ -72,7 +72,7 @@ const (
 	// body the client reads.
 	MaxBodyBytes = 64 << 20
 	// MaxDepth is the most arrays and structs a decoder lets a value
-	// nest one inside another (the XML-RPC decoder enforces it so far).
+	// nest one inside another (the XML-RPC and SOAP decoders enforce it).
 	// It bounds the decoder's recursion, so no payload can exhaust the
 	// stack.
 	MaxDepth = 256

@@ -196,8 +196,22 @@ type element struct {
 	children []*element
 }
 
-// parseElement builds a lightweight DOM below the given start element.
-func parseElement(d *xml.Decoder, se xml.StartElement) (*element, error) {
+// maxElementDepth is the deepest an element may sit below the Body's
+// element (the call, the response or the fault): one level for a
+// parameter or the return value and one per array or struct around a
+// leaf, so values nested rpc.MaxDepth deep, the XML-RPC limit, decode.
+const maxElementDepth = rpc.MaxDepth + 1
+
+var errTooDeep = fmt.Errorf("soaprpc: elements nested deeper than %d", maxElementDepth)
+
+// parseElement builds a lightweight DOM below the given start element,
+// which sits depth levels below the Body's element. It refuses elements
+// deeper than maxElementDepth, which bounds its recursion and
+// decodeTyped's.
+func parseElement(d *xml.Decoder, se xml.StartElement, depth int) (*element, error) {
+	if depth > maxElementDepth {
+		return nil, errTooDeep
+	}
 	el := &element{name: se.Name.Local, attrs: map[string]string{}}
 	for _, a := range se.Attr {
 		el.attrs[a.Name.Local] = a.Value
@@ -211,7 +225,7 @@ func parseElement(d *xml.Decoder, se xml.StartElement) (*element, error) {
 		case xml.CharData:
 			el.text += string(t)
 		case xml.StartElement:
-			child, err := parseElement(d, t)
+			child, err := parseElement(d, t, depth+1)
 			if err != nil {
 				return nil, err
 			}
@@ -353,7 +367,7 @@ func parseEnvelope(r io.Reader) (*element, error) {
 			return nil, err
 		}
 		if se, ok := tok.(xml.StartElement); ok {
-			return parseElement(d, se)
+			return parseElement(d, se, 0)
 		}
 		if _, ok := tok.(xml.EndElement); ok {
 			return nil, fmt.Errorf("soaprpc: empty Body")

@@ -160,6 +160,16 @@ func (s *scanner) expand(quote int, cdata bool) ([]byte, error) {
 	var b0, b1 byte
 	trunc := 0
 	for s.pos < len(s.buf) {
+		// Copy a run of plain bytes in one go. After a '\r' the next byte
+		// must go through the loop, which drops the '\n' of a "\r\n".
+		if !cdata && b1 != '\r' {
+			if n := plainLen(s.buf[s.pos:], quote); n > 0 {
+				out = append(out, s.buf[s.pos:s.pos+n]...)
+				s.pos += n
+				b0, b1 = 0, 0
+				continue
+			}
+		}
 		b := s.buf[s.pos]
 		s.pos++
 		if quote < 0 && b0 == ']' && b1 == ']' && b == '>' {
@@ -203,6 +213,22 @@ func (s *scanner) expand(quote int, cdata bool) ([]byte, error) {
 	out = out[:len(out)-trunc]
 	s.scratch = out
 	return out, s.checkChars(out)
+}
+
+// plainLen returns the length of the leading run of b that expand copies
+// unchanged outside CDATA: bytes that are no markup, reference, line end,
+// part of "]]>" or the closing quote (quote < 0 matches none).
+func plainLen(b []byte, quote int) int {
+	for i, c := range b {
+		switch c {
+		case '<', '&', '\r', ']', '>':
+			return i
+		}
+		if int(c) == quote {
+			return i
+		}
+	}
+	return len(b)
 }
 
 // reference reads the rest of an entity or character reference after
